@@ -46,9 +46,13 @@ class Posting:
 
     @staticmethod
     def concat(parts: list["Posting"]) -> "Posting":
+        """Join postings in order; a single non-empty part is returned
+        as-is (no copy), so reading a one-block posting aliases the block."""
         parts = [p for p in parts if len(p)]
         if not parts:
             raise ValueError("concat of empty parts needs a dim; use Posting.empty")
+        if len(parts) == 1:
+            return parts[0]
         return Posting(
             np.concatenate([p.vids for p in parts]),
             np.concatenate([p.versions for p in parts]),
@@ -116,8 +120,14 @@ class BlockController:
 
     # -- helpers ----------------------------------------------------------
     def _chunk(self, posting: Posting) -> list[Posting]:
+        """Split a posting into block payloads. The payloads are read-only
+        views: GET and ParallelGET hand them out without copying."""
         epb = self.entries_per_block
-        return [posting.slice(i, i + epb) for i in range(0, len(posting), epb)]
+        chunks = [posting.slice(i, i + epb) for i in range(0, len(posting), epb)]
+        for c in chunks:
+            for a in (c.vids, c.versions, c.vecs):
+                a.setflags(write=False)
+        return chunks
 
     def exists(self, pid: int) -> bool:
         return pid in self._mapping

@@ -223,47 +223,56 @@ class SPFreshIndex:
     # Searcher (paper §3.1 / §4.1)
     # ------------------------------------------------------------------
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-        """Top-k vector ids for one query; returns (ids, simulated µs)."""
+        """Top-k vector ids for one query; returns (ids, simulated µs).
+
+        The probed postings are scanned as one flat tuple array: one
+        staleness mask, one replica dedupe per (posting, vid), one
+        distance call and one top-k for the whole query.
+        """
         q = np.asarray(q, dtype=np.float64)
         pids = self.centroid_index.search(q, self.config.nprobe)
         postings, io = self.controller.get_many([int(p) for p in pids])
         self.stats.foreground_io_us += io
-        scanned = 0
-        all_vids: list[np.ndarray] = []
-        all_d: list[np.ndarray] = []
-        for pid, posting in postings.items():
-            scanned += len(posting)
-            live = self._live(posting)
-            if not len(live):
-                continue
-            d = pairwise_sq_l2(q[None, :], live.vecs)[0]
-            all_vids.append(live.vids)
-            all_d.append(d)
-            if (
-                self.config.rebalance
-                and self.config.merge
-                and len(live) < self.config.merge_limit
-                and len(self.centroid_index) > 1
-                and ("merge", pid) not in self._pending
-            ):
-                self._pending.add(("merge", pid))
-                self.jobs.append(("merge", pid))
+        sizes = [len(p) for p in postings.values()]
+        scanned = sum(sizes)
         lat = self.latency.search_us(
             n_centroids_compared=len(self.centroid_index),
             vectors_scanned=scanned,
             dim=self.config.dim,
             io_us=io,
         )
-        if not all_vids:
+        if not scanned:
             return np.empty(0, dtype=np.int64), lat
-        vids = np.concatenate(all_vids)
-        d = np.concatenate(all_d)
-        # dedupe replicas: keep the smallest distance per vid
-        order = np.lexsort((vids, d))
+        flat = Posting.concat(list(postings.values()))
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        live = np.flatnonzero(~self.version_map.is_stale(flat.vids, flat.versions))
+        # duplicate replicas within one posting: the first occurrence wins
+        key = seg[live] * (int(flat.vids.max()) + 1) + flat.vids[live]
+        _, first = np.unique(key, return_index=True)
+        live = live[np.sort(first)]
+        self._enqueue_merges(postings, np.bincount(seg[live], minlength=len(sizes)))
+        if not len(live):
+            return np.empty(0, dtype=np.int64), lat
+        vids = flat.vids[live]
+        d = pairwise_sq_l2(q[None, :], flat.vecs[live])[0]
+        # dedupe replicas across postings: keep the smallest distance per vid
+        order = np.lexsort((d, vids))
         vids, d = vids[order], d[order]
-        _, first = np.unique(vids, return_index=True)
+        first = np.ones(len(vids), dtype=bool)
+        first[1:] = vids[1:] != vids[:-1]
         vids, d = vids[first], d[first]
         return vids[topk_indices(d, k)], lat
+
+    def _enqueue_merges(self, postings: dict[int, Posting], live_counts: np.ndarray) -> None:
+        """Queue a merge, in probe order, for each probed posting whose live
+        length is positive but under the merge limit."""
+        cfg = self.config
+        if not (cfg.rebalance and cfg.merge) or len(self.centroid_index) <= 1:
+            return
+        for pid, n_live in zip(postings, live_counts.tolist()):
+            if 0 < n_live < cfg.merge_limit and ("merge", pid) not in self._pending:
+                self._pending.add(("merge", pid))
+                self.jobs.append(("merge", pid))
 
     def search_batch(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
         ids, lats = [], []

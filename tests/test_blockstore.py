@@ -177,6 +177,44 @@ class TestParallelGet:
         assert postings == {} and cost == 0.0
 
 
+class TestZeroCopyReads:
+    """GET / ParallelGET return one-block postings without copying, so the
+    stored block payloads are read-only."""
+
+    def test_one_block_read_aliases_the_stored_block(self, ctl):
+        ctl.put(1, make_posting(5))
+        postings, _ = ctl.get_many([1])
+        (block,) = ctl._mapping[1].block_ids
+        assert np.shares_memory(postings[1].vecs, ctl.ssd._blocks[block].vecs)
+
+    def test_concat_of_one_part_is_that_part(self):
+        p = make_posting(3)
+        assert Posting.concat([Posting.empty(8), p]) is p
+
+    @pytest.mark.parametrize("field", ["vids", "versions", "vecs"])
+    def test_writing_into_a_read_posting_raises(self, ctl, field):
+        ctl.put(1, make_posting(5))
+        postings, _ = ctl.get_many([1])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(postings[1], field)[0] = 7
+
+    def test_callers_arrays_stay_writable(self, ctl):
+        p = make_posting(5)
+        ctl.put(1, p)
+        ctl.append(1, p)
+        p.vecs[0] = -1.0
+        np.testing.assert_array_equal(ctl.get(1)[0].vecs[0], make_posting(1).vecs[0])
+
+    def test_get_sees_append_and_put(self, ctl):
+        ctl.put(1, make_posting(2))
+        before, _ = ctl.get(1)
+        ctl.append(1, make_posting(2, vid0=10))
+        np.testing.assert_array_equal(ctl.get(1)[0].vids, [0, 1, 10, 11])
+        ctl.put(1, make_posting(3, vid0=20))
+        np.testing.assert_array_equal(ctl.get_many([1])[0][1].vids, [20, 21, 22])
+        np.testing.assert_array_equal(before.vids, [0, 1])  # copy-on-write
+
+
 class TestPreRelease:
     """§4.4: blocks freed between snapshots must not be reused until the
     next snapshot lands (block-level CoW roll-back window)."""

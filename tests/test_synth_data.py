@@ -67,16 +67,20 @@ class TestVectorGenerators:
         assert sorted(np.round(s1, 6)) == sorted(np.round(w, 6))  # a permutation blend
 
     def test_ground_truth_is_exact(self):
+        # multiples of 1/64: every distance is exact, whatever the summation order
         rng = np.random.default_rng(0)
-        base = rng.random((200, 8)).astype(np.float32)
-        qs = rng.random((10, 8)).astype(np.float32)
+        base = (rng.integers(0, 256, (20_000, 8)) / 64).astype(np.float32)  # two GEMM chunks
+        base[19_000] = base[40]  # a duplicated base vector ties with its twin
+        qs = (rng.integers(0, 256, (70, 8)) / 64).astype(np.float32)
+        qs[3] = base[40]
         gt = synth_data.ground_truth_knn(base, qs, 5)
-        from repro.core.distances import pairwise_sq_l2
-
-        d = pairwise_sq_l2(qs, base)
-        for i in range(10):
-            expect = np.argsort(d[i], kind="stable")[:5]
-            np.testing.assert_array_equal(np.sort(gt[i]), np.sort(expect))
+        assert gt.shape == (70, 5)
+        b64 = base.astype(np.float64)
+        for i, q in enumerate(qs.astype(np.float64)):
+            d = ((b64 - q) ** 2).sum(axis=1)
+            expect = np.argsort(d, kind="stable")[:5]  # by distance, ties by index
+            np.testing.assert_array_equal(gt[i], expect)
+        assert list(gt[3][:2]) == [40, 19_000]
 
     def test_vectors_df_roundtrip(self, spark):
         v = synth_data.clustered_vectors(n=20, dim=4, seed=5)
