@@ -8,13 +8,25 @@ between two snapshots sit in a pre-release buffer and only enter the free
 pool once the next snapshot lands (see ``BlockController.pre_release``).
 
 :class:`RecoveryLog` is filesystem-backed (pickle) so a test can "crash"
-by discarding the live index object and rebuild purely from disk.
+by discarding the live index object and rebuild purely from disk. Each
+WAL record is one frame: payload length and CRC32 (little-endian uint32
+each), then the pickled payload. A write interrupted by a crash leaves a
+short or bad-CRC *final* frame, which recovery treats as the end of the
+log; a bad frame with more data after it is corruption and raises.
 """
 from __future__ import annotations
 
 import os
 import pickle
+import struct
+import zlib
 from typing import Any, Callable
+
+_HEADER = struct.Struct("<II")  # payload length, CRC32 of the payload
+
+
+class CorruptLogError(Exception):
+    """A WAL frame that is not the last one fails its length or CRC check."""
 
 
 class RecoveryLog:
@@ -30,7 +42,8 @@ class RecoveryLog:
     # -- logging ----------------------------------------------------------
     def log(self, record: Any) -> None:
         """Append one update record (insert/delete request) to the WAL."""
-        pickle.dump(record, self._wal_fh)
+        payload = pickle.dumps(record)
+        self._wal_fh.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
         self._wal_fh.flush()
 
     def snapshot(self, state: Any) -> None:
@@ -45,7 +58,11 @@ class RecoveryLog:
 
     # -- recovery ---------------------------------------------------------
     def recover(self) -> tuple[Any, list[Any]]:
-        """Return (latest snapshot state or None, WAL records since it)."""
+        """Return (latest snapshot state or None, WAL records since it).
+
+        A torn final frame is cut off the file, so that records logged
+        after recovery follow the last whole one.
+        """
         state = None
         if os.path.exists(self._snap_path):
             with open(self._snap_path, "rb") as fh:
@@ -53,11 +70,10 @@ class RecoveryLog:
         records: list[Any] = []
         if os.path.exists(self._wal_path):
             with open(self._wal_path, "rb") as fh:
-                while True:
-                    try:
-                        records.append(pickle.load(fh))
-                    except EOFError:
-                        break
+                data = fh.read()
+            records, end = _read_frames(data)
+            if end < len(data):
+                os.truncate(self._wal_path, end)
         return state, records
 
     def replay(self, apply: Callable[[Any], None]) -> int:
@@ -69,3 +85,24 @@ class RecoveryLog:
 
     def close(self) -> None:
         self._wal_fh.close()
+
+
+def _read_frames(data: bytes) -> tuple[list[Any], int]:
+    """Every whole WAL frame's record, and the byte offset where they end.
+
+    A short or bad-CRC final frame (a write torn by a crash) ends the log;
+    a bad frame with more data after it raises :class:`CorruptLogError`.
+    """
+    records: list[Any] = []
+    pos = 0
+    while pos + _HEADER.size <= len(data):
+        length, crc = _HEADER.unpack_from(data, pos)
+        start = pos + _HEADER.size
+        end = start + length
+        if end > len(data) or zlib.crc32(data[start:end]) != crc:
+            if end >= len(data):
+                break
+            raise CorruptLogError(f"WAL frame at byte {pos} fails its CRC check")
+        records.append(pickle.loads(data[start:end]))
+        pos = end
+    return records, pos

@@ -21,7 +21,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.distances import pairwise_sq_l2, topk_indices
+from repro.core.distances import pairwise_sq_l2, sort_candidates, topk_indices
 
 
 class CentroidIndex:
@@ -79,15 +79,24 @@ class CentroidIndex:
         d = pairwise_sq_l2(np.asarray(q)[None, :], self._vecs[alive])[0]
         return alive[topk_indices(d, k)]
 
-    def search_batch(self, qs: np.ndarray, k: int) -> np.ndarray:
-        """(m, k) alive posting ids per query row."""
+    def search_batch(self, qs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(m, k) alive posting ids per query row, nearest first, ties by
+        id, and their (m, k) squared distances.
+
+        Row for row the same ids as :meth:`search`: :func:`topk_indices`
+        on every row at once (a row-wise ``argpartition``, then a sort on
+        (distance, index)).
+        """
         alive = self.alive_ids
         d = pairwise_sq_l2(qs, self._vecs[alive])
         k = min(k, len(alive))
-        out = np.empty((len(qs), k), dtype=np.int64)
-        for i in range(len(qs)):
-            out[i] = alive[topk_indices(d[i], k)]
-        return out
+        idx = (
+            np.argpartition(d, k, axis=1)[:, :k]
+            if k < len(alive)
+            else np.broadcast_to(np.arange(k), d.shape)
+        )
+        idx, dist = sort_candidates(d, idx)
+        return alive[idx], dist
 
     def memory_bytes(self) -> int:
         """Modelled DRAM: one float32 vector per ever-created centroid."""
@@ -118,7 +127,7 @@ class GraphCentroidIndex(CentroidIndex):
             self._entry = pid
             return pid
         cand = self._search_graph(self._vecs[pid], self.ef, include_dead=True)
-        links = [c for c in cand[: self.degree] if c != pid]
+        links = [c for _, c in cand[: self.degree] if c != pid]
         self._nbrs[pid] = links
         for c in links:
             if pid not in self._nbrs[c]:
@@ -132,7 +141,11 @@ class GraphCentroidIndex(CentroidIndex):
         d = pairwise_sq_l2(self._vecs[node][None, :], self._vecs[nbrs])[0]
         self._nbrs[node] = nbrs[topk_indices(d, self.degree)].tolist()
 
-    def _search_graph(self, q: np.ndarray, ef: int, include_dead: bool = False) -> list[int]:
+    def _search_graph(
+        self, q: np.ndarray, ef: int, include_dead: bool = False
+    ) -> list[tuple[float, int]]:
+        """(squared distance, node) of the best ``ef`` nodes reached, nearest
+        first, ties by node."""
         if self._entry is None:
             return []
         start = self._entry
@@ -157,17 +170,26 @@ class GraphCentroidIndex(CentroidIndex):
         found = sorted(((-nd, node) for nd, node in best), key=lambda t: (t[0], t[1]))
         if not include_dead:
             found = [(d, n) for d, n in found if self._alive[n]]
-        return [n for _, n in found]
+        return found
 
-    def search(self, q: np.ndarray, k: int) -> np.ndarray:
-        found = self._search_graph(np.asarray(q, dtype=np.float64), max(self.ef, k))
+    def _search_one(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and squared distances of the ``k`` nearest alive nodes."""
+        found = self._search_graph(q, max(self.ef, k))[:k]
         if len(found) < min(k, len(self)):
             # graph got disconnected by lazy deletes — exact fallback
-            return CentroidIndex.search(self, q, k)
-        return np.asarray(found[:k], dtype=np.int64)
+            ids, dist = CentroidIndex.search_batch(self, q[None, :], k)
+            return ids[0], dist[0]
+        return (
+            np.asarray([n for _, n in found], dtype=np.int64),
+            np.asarray([d for d, _ in found], dtype=np.float64),
+        )
 
-    def search_batch(self, qs: np.ndarray, k: int) -> np.ndarray:
-        return np.stack([self.search(q, k) for q in np.asarray(qs, dtype=np.float64)])
+    def search(self, q: np.ndarray, k: int) -> np.ndarray:
+        return self._search_one(np.asarray(q, dtype=np.float64), k)[0]
+
+    def search_batch(self, qs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = [self._search_one(q, k) for q in np.asarray(qs, dtype=np.float64)]
+        return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
 
     def memory_bytes(self) -> int:
         edges = sum(len(n) for n in self._nbrs)

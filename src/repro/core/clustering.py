@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distances import pairwise_sq_l2
+from repro.core.distances import pairwise_sq_l2, sort_candidates
 
 
 def _kmeanspp_pair(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -121,20 +121,27 @@ def closure_assign(
     Each vector is assigned to its nearest centroid plus every centroid
     within a ``(1 + eps)`` distance-ratio of the nearest (squared ratio
     ``(1 + eps)^2``), capped at ``max_replicas`` postings. Returns, per
-    vector, the array of assigned centroid column-indices (nearest first).
+    vector, the array of assigned centroid column-indices (nearest first,
+    ties by column).
     """
     d = pairwise_sq_l2(vecs, centroids)
-    k = min(max_replicas, d.shape[1])
-    part = np.argpartition(d, k - 1, axis=1)[:, :k] if k < d.shape[1] else np.tile(
-        np.arange(d.shape[1]), (len(vecs), 1)
+    n, m = d.shape
+    k = min(max_replicas, m)
+    cand = (
+        np.argpartition(d, k - 1, axis=1)[:, :k]
+        if k < m
+        else np.broadcast_to(np.arange(m), (n, m))
     )
-    out: list[np.ndarray] = []
+    cand, dist = sort_candidates(d, cand)
+    return [row[:c] for row, c in zip(cand, closure_counts(dist, eps))]
+
+
+def closure_counts(dist: np.ndarray, eps: float) -> np.ndarray:
+    """How many leading candidates of each row the closure keeps.
+
+    ``dist`` holds each row's candidate squared distances in ascending
+    order; the kept candidates are those within ``(1 + eps)^2`` of the
+    row's nearest, which is always a prefix of the row.
+    """
     thresh_ratio = (1.0 + eps) ** 2
-    for i in range(len(vecs)):
-        cand = part[i]
-        dist = d[i, cand]
-        order = np.lexsort((cand, dist))
-        cand, dist = cand[order], dist[order]
-        keep = dist <= thresh_ratio * dist[0] + 1e-12
-        out.append(cand[keep])
-    return out
+    return (dist <= thresh_ratio * dist[:, :1] + 1e-12).sum(axis=1)

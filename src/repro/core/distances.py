@@ -27,6 +27,15 @@ def sq_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff @ diff)
 
 
+def sort_candidates(d: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order each row's candidate columns ``idx`` (n, k) of the distance
+    matrix ``d`` by (distance, column); returns the sorted columns and
+    their distances, both (n, k)."""
+    dist = np.take_along_axis(d, idx, axis=1)
+    order = np.lexsort((idx, dist), axis=1)
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dist, order, axis=1)
+
+
 def topk_indices(dist_row: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest entries, sorted ascending by value.
 

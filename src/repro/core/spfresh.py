@@ -28,6 +28,7 @@ from repro.core.centroid_index import CentroidIndex, GraphCentroidIndex
 from repro.core.clustering import (
     balanced_two_means,
     closure_assign,
+    closure_counts,
     hierarchical_balanced_clustering,
 )
 from repro.core.distances import pairwise_sq_l2, topk_indices
@@ -144,14 +145,23 @@ class SPFreshIndex:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _closure_pids(self, vec: np.ndarray) -> np.ndarray:
-        """Alive posting ids for a vector under closure assignment."""
-        cand = self.centroid_index.search(vec, self.config.max_replicas)
-        cents = self.centroid_index.centroids(cand)
-        keep = closure_assign(
-            vec[None, :], cents, max_replicas=self.config.max_replicas, eps=self.config.closure_eps
-        )[0]
-        return cand[keep]
+    def _closure_pids(self, vecs: np.ndarray) -> list[np.ndarray]:
+        """Closure-assigned alive posting ids for each row of ``vecs``.
+
+        One navigation for all rows: the navigator returns each row's
+        ``max_replicas`` nearest postings with their distances (nearest
+        first, ties by id), and the closure ratio cuts every row at once,
+        as :func:`closure_assign` does. Navigation reads only the centroid
+        index, which neither appends nor version-CAS change, so a batch
+        can be navigated before any of its rows is placed. The distances
+        come from one (rows × centroids) matrix product, which can round
+        the last bit differently from a one-row product; a row's postings
+        differ from a lone navigation's only if two candidates, or a
+        candidate and the closure cut, are that close.
+        """
+        cfg = self.config
+        pids, dist = self.centroid_index.search_batch(vecs, cfg.max_replicas)
+        return [row[:n] for row, n in zip(pids, closure_counts(dist, cfg.closure_eps))]
 
     def _live(self, posting: Posting) -> Posting:
         """Drop stale tuples and duplicate replicas within one posting."""
@@ -184,12 +194,18 @@ class SPFreshIndex:
     # ------------------------------------------------------------------
     # Updater (foreground, paper §4.1)
     # ------------------------------------------------------------------
-    def insert(self, vid: int, vec: np.ndarray) -> float:
-        """Insert one vector; returns simulated foreground latency (µs)."""
+    def insert(self, vid: int, vec: np.ndarray, pids: np.ndarray | None = None) -> float:
+        """Insert one vector; returns simulated foreground latency (µs).
+
+        ``pids`` are the vector's closure postings when the caller has
+        navigated already (:meth:`insert_batch`); the charge is the same
+        either way.
+        """
         vec = np.asarray(vec, dtype=np.float32)
         self.version_map.add(vid)
         self._vecs[vid] = vec
-        pids = self._closure_pids(vec.astype(np.float64))
+        if pids is None:
+            pids = self._closure_pids(vec[None, :])[0]
         io = 0.0
         tail = Posting(
             np.asarray([vid], dtype=np.int64),
@@ -209,8 +225,21 @@ class SPFreshIndex:
         )
 
     def insert_batch(self, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """Vectorised insert; returns per-vector simulated latency (µs)."""
-        return np.asarray([self.insert(int(v), x) for v, x in zip(vids, vecs)])
+        """Insert a batch; returns per-vector simulated latency (µs).
+
+        The batch is navigated once (:meth:`_closure_pids`); then each
+        vector is placed by :meth:`insert` in batch order, so its appends,
+        split triggers and simulated charge (navigation over every
+        centroid, one APPEND per replica) are those of a lone insert.
+        Inserts only queue jobs and never change the centroid index, so
+        navigating before placing gives every vector the postings it
+        would get on its own.
+        """
+        if not len(vids):
+            return np.empty(0)
+        vecs = np.asarray(vecs, dtype=np.float32)
+        pids = self._closure_pids(vecs)
+        return np.asarray([self.insert(int(v), x, p) for v, x, p in zip(vids, vecs, pids)])
 
     def delete(self, vid: int) -> float:
         """Tombstone a vector (O(1), in-memory only); returns latency µs."""
@@ -367,7 +396,8 @@ class SPFreshIndex:
         self.stats.background_io_us += io
         # Reassign check for moved vectors only — no neighbor check (§4.2.1)
         if self.config.reassign and len(live):
-            self._execute_reassigns(live, current_pid=target, depth=0)
+            self.stats.reassign_evaluated += len(live)
+            self._apply_moves(self._plan_moves(live, np.full(len(live), target)), depth=0)
         self._maybe_enqueue_split(target, 1)
 
     def _reassign(
@@ -424,46 +454,36 @@ class SPFreshIndex:
         order = np.sort(first)
         allc, from_pid = allc.take(order), from_pid[order]
         self.stats.background_cpu_us += self.latency.scan_us(len(allc), cfg.dim)
-        moves = [
-            m
-            for i in range(len(allc))
-            if (
-                m := self._plan_reassign_one(
-                    int(allc.vids[i]), int(allc.versions[i]), allc.vecs[i], int(from_pid[i])
-                )
-            )
-            is not None
-        ]
-        self._apply_moves(moves, depth)
+        self._apply_moves(self._plan_moves(allc, from_pid), depth)
 
-    def _execute_reassigns(self, live: Posting, *, current_pid: int, depth: int) -> None:
-        """Merge-path reassign check for a batch of moved vectors."""
-        self.stats.reassign_evaluated += len(live)
-        moves = [
-            m
-            for i in range(len(live))
-            if (
-                m := self._plan_reassign_one(
-                    int(live.vids[i]), int(live.versions[i]), live.vecs[i], current_pid
-                )
-            )
-            is not None
-        ]
-        self._apply_moves(moves, depth)
+    def _plan_moves(
+        self, cands: Posting, from_pid: np.ndarray
+    ) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Final NPA check + CAS (§3.3) for reassign candidates.
 
-    def _plan_reassign_one(
-        self, vid: int, version: int, vec: np.ndarray, current_pid: int
-    ) -> tuple[int, int, np.ndarray, np.ndarray] | None:
-        """Final NPA check + CAS (§3.3); returns the planned move or None."""
-        target_pids = self._closure_pids(np.asarray(vec, dtype=np.float64))
-        if len(target_pids) == 0 or int(target_pids[0]) == current_pid:
-            return None  # false positive: already NPA-compliant
-        new_version = self.version_map.bump_cas(vid, version)
-        if new_version is None:
-            self.stats.reassign_aborted_cas += 1
-            return None
-        self.stats.reassign_moved += 1
-        return vid, new_version, vec, target_pids
+        ``from_pid[i]`` is the posting candidate ``i`` was read from. All
+        candidates are navigated at once (:meth:`_closure_pids`); then, in
+        candidate order, one whose nearest closure posting is ``from_pid``
+        is a false positive and stays, and every other one bumps its
+        version by CAS: a failed CAS (a newer version exists) aborts the
+        move. Returns the planned moves as (vid, new version, vector,
+        target pids).
+        """
+        moves = []
+        rows = zip(
+            cands.vids.tolist(), cands.versions.tolist(), cands.vecs,
+            from_pid.tolist(), self._closure_pids(cands.vecs),
+        )
+        for vid, version, vec, src, target_pids in rows:
+            if len(target_pids) == 0 or int(target_pids[0]) == src:
+                continue  # false positive: already NPA-compliant
+            new_version = self.version_map.bump_cas(vid, version)
+            if new_version is None:
+                self.stats.reassign_aborted_cas += 1
+                continue
+            self.stats.reassign_moved += 1
+            moves.append((vid, new_version, vec, target_pids))
+        return moves
 
     def _apply_moves(
         self, moves: list[tuple[int, int, np.ndarray, np.ndarray]], depth: int

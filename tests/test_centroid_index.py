@@ -66,13 +66,26 @@ class TestExactCentroidIndex:
 
     def test_search_batch_matches_single(self):
         vecs = rand_vecs(30)
+        # duplicate centroids: exact distance ties, ordered by id
+        vecs[[11, 17, 25]] = vecs[4]
+        vecs[20] = vecs[9]
         idx = CentroidIndex(8)
         for v in vecs:
             idx.add(v)
-        qs = rand_vecs(5, seed=4)
-        batch = idx.search_batch(qs, 3)
-        for i, q in enumerate(qs):
-            np.testing.assert_array_equal(batch[i], idx.search(q, 3))
+        for pid in (2, 17, 29):
+            idx.remove(pid)
+        qs = np.vstack([rand_vecs(5, seed=4), vecs[[4, 9]]])
+        for k in (1, 3, 8, 40):  # 40 > the 27 alive centroids
+            batch, dist = idx.search_batch(qs, k)
+            assert batch.shape == dist.shape == (len(qs), min(k, len(idx)))
+            for i, q in enumerate(qs):
+                np.testing.assert_array_equal(batch[i], idx.search(q, k))
+                assert not set(batch[i]) & {2, 17, 29}
+                keys = list(zip(dist[i], batch[i]))
+                assert keys == sorted(keys)
+                np.testing.assert_allclose(dist[i], pairwise_sq_l2(q[None, :], vecs[batch[i]])[0])
+            # the query equal to the duplicated centroid lists its copies by id
+            assert batch[5][: min(k, 3)].tolist() == [4, 11, 25][: min(k, 3)]
 
     def test_growth_beyond_capacity(self):
         idx = CentroidIndex(4, capacity=2)
@@ -126,6 +139,19 @@ class TestGraphCentroidIndex:
         for v in rand_vecs(100, seed=5):
             gidx.add(v)
         assert max(len(n) for n in gidx._nbrs) <= 2 * 4
+
+    def test_search_batch_matches_single_with_distances(self):
+        vecs = rand_vecs(60, seed=7)
+        gidx = GraphCentroidIndex(8, degree=6, ef=16)
+        for v in vecs:
+            gidx.add(v)
+        for pid in range(0, 60, 3):
+            gidx.remove(pid)
+        qs = rand_vecs(10, seed=8)
+        ids, dist = gidx.search_batch(qs, 5)
+        for i, q in enumerate(qs):
+            np.testing.assert_array_equal(ids[i], gidx.search(q, 5))
+            np.testing.assert_allclose(dist[i], pairwise_sq_l2(q[None, :], vecs[ids[i]])[0])
 
     def test_memory_includes_edges(self):
         gidx = GraphCentroidIndex(8, degree=4, ef=16)

@@ -10,6 +10,28 @@ from repro.core.clustering import (
 from repro.core.distances import pairwise_sq_l2
 
 
+def per_row_closure_assign(
+    vecs: np.ndarray, centroids: np.ndarray, *, max_replicas: int = 4, eps: float = 0.1
+) -> list[np.ndarray]:
+    """The per-row closure loop that ``closure_assign`` vectorised: the
+    reference its output must equal exactly."""
+    d = pairwise_sq_l2(vecs, centroids)
+    k = min(max_replicas, d.shape[1])
+    part = np.argpartition(d, k - 1, axis=1)[:, :k] if k < d.shape[1] else np.tile(
+        np.arange(d.shape[1]), (len(vecs), 1)
+    )
+    out: list[np.ndarray] = []
+    thresh_ratio = (1.0 + eps) ** 2
+    for i in range(len(vecs)):
+        cand = part[i]
+        dist = d[i, cand]
+        order = np.lexsort((cand, dist))
+        cand, dist = cand[order], dist[order]
+        keep = dist <= thresh_ratio * dist[0] + 1e-12
+        out.append(cand[keep])
+    return out
+
+
 def blobs(n: int, dim: int = 4, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centers = rng.random((4, dim)) * 100
@@ -128,3 +150,43 @@ class TestClosureAssign:
         for i, a in enumerate(assign):
             dist = d[i, a]
             assert (np.diff(dist) >= -1e-12).all()
+
+
+class TestClosureAssignMatchesPerRowLoop:
+    @staticmethod
+    def assert_same(vecs, cents, **kw):
+        got = closure_assign(vecs, cents, **kw)
+        expect = per_row_closure_assign(vecs, cents, **kw)
+        assert len(got) == len(expect)
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("max_replicas", [1, 3, 8])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+    def test_random(self, max_replicas, eps):
+        rng = np.random.default_rng(4)
+        vecs, cents = rng.random((200, 8)), rng.random((12, 8))
+        self.assert_same(vecs, cents, max_replicas=max_replicas, eps=eps)
+
+    @pytest.mark.parametrize("max_replicas", [2, 4, 6])
+    def test_exact_ties_from_duplicate_centroids(self, max_replicas):
+        rng = np.random.default_rng(5)
+        base = rng.integers(0, 3, (4, 4)).astype(np.float64)
+        cents = base[[0, 1, 0, 2, 1, 3, 0]]  # each of 0 and 1 repeated
+        vecs = np.vstack([base, rng.integers(0, 3, (60, 4)).astype(np.float64)])
+        for eps in (0.0, 0.3):
+            self.assert_same(vecs, cents, max_replicas=max_replicas, eps=eps)
+
+    @pytest.mark.parametrize("max_replicas", [5, 6, 50])
+    def test_replica_cap_at_or_above_centroid_count(self, max_replicas):
+        rng = np.random.default_rng(6)
+        self.assert_same(rng.random((30, 4)), rng.random((5, 4)), max_replicas=max_replicas, eps=2.0)
+
+    def test_one_row(self):
+        rng = np.random.default_rng(7)
+        self.assert_same(rng.random((1, 4)), rng.random((9, 4)), max_replicas=4, eps=0.2)
+
+    def test_zero_rows(self):
+        cents = np.random.default_rng(8).random((9, 4))
+        assert closure_assign(np.empty((0, 4)), cents, max_replicas=4, eps=0.2) == []

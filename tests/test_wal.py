@@ -1,7 +1,10 @@
 """Tests for the snapshot + WAL recovery log (paper §4.4)."""
+import os
+
+import numpy as np
 import pytest
 
-from repro.blockstore.wal import RecoveryLog
+from repro.blockstore.wal import CorruptLogError, RecoveryLog
 
 
 @pytest.fixture()
@@ -58,11 +61,75 @@ class TestRecoveryLog:
         assert state == {"base": True} and records == [("insert", 42)]
 
     def test_arbitrary_payloads(self, log):
-        import numpy as np
-
         vec = np.arange(4, dtype=np.float32)
         log.log(("insert", 7, vec))
         _, records = log.recover()
         op, vid, v = records[0]
         assert op == "insert" and vid == 7
         np.testing.assert_array_equal(v, vec)
+
+
+def five_record_wal(tmp_path) -> tuple[str, list, list[int]]:
+    """A WAL of five insert records; returns its directory, the records
+    and the byte offset where each frame ends."""
+    root = str(tmp_path / "wal")
+    log = RecoveryLog(root)
+    records, ends = [], []
+    for i in range(5):
+        records.append(("insert", i, np.arange(8, dtype=np.float32) + i))
+        log.log(records[-1])
+        ends.append(os.path.getsize(os.path.join(root, "wal.pkl")))
+    log.close()
+    return root, records, ends
+
+
+def assert_records_equal(got, expect):
+    assert len(got) == len(expect)
+    for (op, vid, vec), (op2, vid2, vec2) in zip(got, expect):
+        assert (op, vid) == (op2, vid2)
+        np.testing.assert_array_equal(vec, vec2)
+
+
+class TestTornWal:
+    @pytest.mark.parametrize("cut", [1, 7, 30])
+    def test_torn_final_record_ends_the_log(self, tmp_path, cut):
+        root, records, ends = five_record_wal(tmp_path)
+        assert ends[-1] - ends[-2] > 30
+        os.truncate(os.path.join(root, "wal.pkl"), ends[-1] - cut)
+        _, got = RecoveryLog(root).recover()
+        assert_records_equal(got, records[:4])
+
+    def test_torn_header_ends_the_log(self, tmp_path):
+        root, records, ends = five_record_wal(tmp_path)
+        os.truncate(os.path.join(root, "wal.pkl"), ends[-2] + 3)
+        _, got = RecoveryLog(root).recover()
+        assert_records_equal(got, records[:4])
+
+    def test_bad_crc_final_record_ends_the_log(self, tmp_path):
+        root, records, ends = five_record_wal(tmp_path)
+        flip_byte(os.path.join(root, "wal.pkl"), ends[-1] - 5)
+        _, got = RecoveryLog(root).recover()
+        assert_records_equal(got, records[:4])
+
+    def test_records_logged_after_a_torn_tail_are_recovered(self, tmp_path):
+        root, records, ends = five_record_wal(tmp_path)
+        os.truncate(os.path.join(root, "wal.pkl"), ends[-1] - 7)
+        log = RecoveryLog(root)
+        log.recover()
+        log.log(records[4])
+        _, got = RecoveryLog(root).recover()
+        assert_records_equal(got, records)
+
+    def test_corrupt_middle_record_raises(self, tmp_path):
+        root, _, ends = five_record_wal(tmp_path)
+        flip_byte(os.path.join(root, "wal.pkl"), ends[1] - 5)
+        with pytest.raises(CorruptLogError):
+            RecoveryLog(root).recover()
+
+
+def flip_byte(path: str, offset: int) -> None:
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        b = fh.read(1)
+        fh.seek(offset)
+        fh.write(bytes([b[0] ^ 0xFF]))
